@@ -29,13 +29,14 @@
 #ifndef ACCORD_COMMON_PAGED_TABLE_HPP
 #define ACCORD_COMMON_PAGED_TABLE_HPP
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/bits.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
 
@@ -240,9 +241,11 @@ template <typename T> class PagedColumn
  * Sparse paged map from a 64-bit key to a small unsigned value,
  * built for the DCP directory: keys are line addresses (sparse over
  * the whole PCM address space) and values are way ids.  Keys live in
- * fixed-size pages keyed by key/kPageSlots in an ordered map, so
- * iteration order — and therefore entries() — is deterministic by
- * construction, and untouched regions of the key space cost nothing.
+ * fixed-size pages found through a small open-addressed index on
+ * key/kPageSlots, so a lookup costs one hash probe and untouched
+ * regions of the key space cost nothing.  Pages are never freed, so
+ * the index needs no tombstones.  entries() sorts the pages by key
+ * before walking them, so its order never depends on the hash.
  */
 class SparsePagedMap
 {
@@ -256,13 +259,10 @@ class SparsePagedMap
     std::optional<unsigned>
     lookup(std::uint64_t key) const
     {
-        const auto it = pages_.find(key / kPageSlots);
-        if (it == pages_.end())
+        const std::uint8_t *page = findPage(key / kPageSlots);
+        if (page == nullptr || page[key % kPageSlots] == kAbsent)
             return std::nullopt;
-        const std::uint8_t value = it->second[key % kPageSlots];
-        if (value == kAbsent)
-            return std::nullopt;
-        return value;
+        return page[key % kPageSlots];
     }
 
     /** Record (or update) the value for `key`. */
@@ -284,10 +284,10 @@ class SparsePagedMap
     void
     erase(std::uint64_t key)
     {
-        const auto it = pages_.find(key / kPageSlots);
-        if (it == pages_.end())
+        std::uint8_t *page = findPage(key / kPageSlots);
+        if (page == nullptr)
             return;
-        std::uint8_t &slot = it->second[key % kPageSlots];
+        std::uint8_t &slot = page[key % kPageSlots];
         if (slot != kAbsent) {
             slot = kAbsent;
             --size_;
@@ -301,41 +301,92 @@ class SparsePagedMap
     std::vector<std::pair<std::uint64_t, unsigned>>
     entries() const
     {
+        std::vector<std::pair<std::uint64_t, const std::uint8_t *>> pages;
+        pages.reserve(static_cast<std::size_t>(pages_));
+        for (const IndexSlot &slot : index_) {
+            if (slot.page)
+                pages.emplace_back(slot.key, slot.page.get());
+        }
+        std::sort(pages.begin(), pages.end());
+
         std::vector<std::pair<std::uint64_t, unsigned>> out;
         out.reserve(static_cast<std::size_t>(size_));
-        for (const auto &page : pages_) {
-            const std::uint64_t base = page.first * kPageSlots;
+        for (const auto &[key, page] : pages) {
+            const std::uint64_t base = key * kPageSlots;
             for (std::uint64_t i = 0; i < kPageSlots; ++i) {
-                if (page.second[i] != kAbsent)
-                    out.emplace_back(base + i, page.second[i]);
+                if (page[i] != kAbsent)
+                    out.emplace_back(base + i, page[i]);
             }
         }
         return out;
     }
 
-    std::uint64_t residentPages() const { return pages_.size(); }
+    std::uint64_t residentPages() const { return pages_; }
 
     std::uint64_t
     residentBytes() const
     {
-        return pages_.size() * kPageSlots * sizeof(std::uint8_t);
+        return pages_ * kPageSlots * sizeof(std::uint8_t);
     }
 
   private:
-    /** Materialize and return a page (the allocation seam). */
-    std::uint8_t *
-    ensurePage(std::uint64_t page)
+    /** One index bucket; an empty bucket has no page. */
+    struct IndexSlot
     {
-        auto &slot = pages_[page];
-        if (!slot) {
-            slot = std::make_unique<std::uint8_t[]>(kPageSlots);
-            for (std::uint64_t i = 0; i < kPageSlots; ++i)
-                slot[i] = kAbsent;
-        }
-        return slot.get();
+        std::uint64_t key = 0;
+        std::unique_ptr<std::uint8_t[]> page;
+    };
+
+    /** Bucket holding page `key`, or the empty bucket ending its probe. */
+    std::size_t
+    probe(std::uint64_t key) const
+    {
+        const std::size_t mask = index_.size() - 1;
+        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
+        while (index_[i].page && index_[i].key != key)
+            i = (i + 1) & mask;
+        return i;
     }
 
-    std::map<std::uint64_t, std::unique_ptr<std::uint8_t[]>> pages_;
+    /** Page `key`, or nullptr if it was never materialized. */
+    std::uint8_t *
+    findPage(std::uint64_t key) const
+    {
+        return index_.empty() ? nullptr : index_[probe(key)].page.get();
+    }
+
+    /** Materialize and return a page (the allocation seam). */
+    std::uint8_t *
+    ensurePage(std::uint64_t key)
+    {
+        if (std::uint8_t *page = findPage(key))
+            return page;
+        // Keep the index at most half full so probes stay short.
+        if (2 * (pages_ + 1) > index_.size())
+            grow();
+        IndexSlot &slot = index_[probe(key)];
+        slot.key = key;
+        slot.page = std::make_unique<std::uint8_t[]>(kPageSlots);
+        std::fill_n(slot.page.get(), kPageSlots, kAbsent);
+        ++pages_;
+        return slot.page.get();
+    }
+
+    /** Double the index and rehash every page into it. */
+    void
+    grow()
+    {
+        std::vector<IndexSlot> old = std::move(index_);
+        index_ = std::vector<IndexSlot>(
+            std::max<std::size_t>(16, 2 * old.size()));
+        for (IndexSlot &slot : old) {
+            if (slot.page)
+                index_[probe(slot.key)] = std::move(slot);
+        }
+    }
+
+    std::vector<IndexSlot> index_;
+    std::uint64_t pages_ = 0;
     std::uint64_t size_ = 0;
 };
 

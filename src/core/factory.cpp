@@ -109,7 +109,6 @@ makePolicy(const std::string &full_spec, const CacheGeometry &geom,
     GangedParams ganged;
     ganged.ritEntries = options.gwsEntries;
     ganged.rltEntries = options.gwsEntries;
-    ganged.storage = options.storage;
 
     if (spec == "rand")
         return std::make_unique<UnbiasedPolicy>(geom, options.seed);

@@ -90,8 +90,9 @@ struct PolicyOptions
     std::uint64_t seed = 42;
 
     /**
-     * Table backend for stateful policies (MRU, partial tags, GWS):
-     * an explicit mode forces it, nullopt resolves per table by size.
+     * Table backend for the per-set predictor tables (MRU, partial
+     * tags): an explicit mode forces it, nullopt resolves per table by
+     * size.
      * Deliberately NOT part of toString()/fromString() — the backend
      * never changes simulation results, only the host footprint, so
      * canonical policy specs (and every committed baseline embedding

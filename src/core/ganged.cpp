@@ -8,85 +8,90 @@
 namespace accord::core
 {
 
-RegionTable::RegionTable(unsigned entries,
-                         std::optional<StorageMode> storage)
+RegionTable::RegionTable(unsigned entries)
+    : regions(entries, 0), last_use(entries, 0), ways_(entries, 0),
+      valid_(entries, 0)
 {
     ACCORD_ASSERT(entries > 0, "region table needs entries");
-    const StorageMode mode =
-        storage.value_or(autoStorageMode(entries));
-    regions.reset(entries, mode, 0);
-    last_use.reset(entries, mode, 0);
-    ways_.reset(entries, mode, 0);
-    valid_.reset(entries, mode, 0);
 }
 
-int
-RegionTable::find(std::uint64_t region) const
+unsigned
+RegionTable::find(std::uint64_t region)
 {
-    for (std::uint64_t i = 0; i < regions.size(); ++i) {
-        if (valid_.read(i) && regions.read(i) == region)
-            return static_cast<int>(i);
+    if (valid_[last_hit] && regions[last_hit] == region)
+        return last_hit;
+    for (unsigned i = 0; i < regions.size(); ++i) {
+        if (regions[i] == region && valid_[i])
+            return last_hit = i;
     }
-    return -1;
+    return entries();
 }
 
 std::optional<unsigned>
 RegionTable::lookup(std::uint64_t region)
 {
-    const int slot = find(region);
-    if (slot < 0)
+    const unsigned slot = find(region);
+    if (slot == entries())
         return std::nullopt;
-    last_use.write(static_cast<std::uint64_t>(slot), ++use_clock);
-    return ways_.read(static_cast<std::uint64_t>(slot));
+    touch(slot);
+    return ways_[slot];
 }
 
 void
 RegionTable::insert(std::uint64_t region, unsigned way)
 {
-    const int hit = find(region);
-    if (hit >= 0) {
-        const auto slot = static_cast<std::uint64_t>(hit);
-        ways_.write(slot, static_cast<std::uint8_t>(way));
-        last_use.write(slot, ++use_clock);
-        return;
+    unsigned slot = find(region);
+    if (slot == entries()) {
+        slot = victim();
+        valid_[slot] = 1;
+        regions[slot] = region;
     }
-    std::uint64_t victim = 0;
-    for (std::uint64_t i = 0; i < regions.size(); ++i) {
-        if (!valid_.read(i)) {
-            victim = i;
-            break;
-        }
-        if (last_use.read(i) < last_use.read(victim))
-            victim = i;
+    ways_[slot] = static_cast<std::uint8_t>(way);
+    touch(slot);
+}
+
+unsigned
+RegionTable::victim() const
+{
+    // The first invalid slot, else the least recently used one (valid
+    // stamps are distinct, so the minimum is unique).  The minimum is
+    // tracked with selects rather than a branch: on a thrashing table
+    // the branch is unpredictable and the scan runs on every insert.
+    unsigned lru = 0;
+    std::uint64_t oldest = last_use[0];
+    for (unsigned i = 0; i < regions.size(); ++i) {
+        if (!valid_[i])
+            return i;
+        const bool older = last_use[i] < oldest;
+        lru = older ? i : lru;
+        oldest = older ? last_use[i] : oldest;
     }
-    valid_.write(victim, 1);
-    regions.write(victim, region);
-    ways_.write(victim, static_cast<std::uint8_t>(way));
-    last_use.write(victim, ++use_clock);
+    return lru;
 }
 
 void
 RegionTable::invalidate(std::uint64_t region)
 {
-    const int slot = find(region);
-    if (slot >= 0)
-        valid_.write(static_cast<std::uint64_t>(slot), 0);
+    const unsigned slot = find(region);
+    if (slot != entries())
+        valid_[slot] = 0;
 }
 
 unsigned
 RegionTable::occupancy() const
 {
     unsigned count = 0;
-    for (std::uint64_t i = 0; i < regions.size(); ++i)
-        count += valid_.read(i) ? 1 : 0;
+    for (const std::uint8_t valid : valid_)
+        count += valid ? 1 : 0;
     return count;
 }
 
 std::uint64_t
 RegionTable::residentStateBytes() const
 {
-    return regions.residentBytes() + last_use.residentBytes()
-        + ways_.residentBytes() + valid_.residentBytes();
+    return regions.size()
+        * (sizeof(std::uint64_t) + sizeof(std::uint64_t)
+           + sizeof(std::uint8_t) + sizeof(std::uint8_t));
 }
 
 void
@@ -101,30 +106,30 @@ RegionTable::audit(InvariantAuditor &auditor, const char *label,
                      maxEntries);
     }
     for (std::uint64_t i = 0; i < regions.size(); ++i) {
-        if (!valid_.at(i))
+        if (!valid_[i])
             continue;
-        if (ways_.at(i) >= maxWays) {
+        if (ways_[i] >= maxWays) {
             auditor.fail("gws-way-range",
                          "%s slot %llu: way %u out of range (ways=%u)",
                          label, static_cast<unsigned long long>(i),
-                         ways_.at(i), maxWays);
+                         ways_[i], maxWays);
         }
-        if (last_use.at(i) > use_clock) {
+        if (last_use[i] > use_clock) {
             auditor.fail("gws-lru-clock",
                          "%s slot %llu: stamp %llu ahead of clock %llu",
                          label, static_cast<unsigned long long>(i),
-                         static_cast<unsigned long long>(last_use.at(i)),
+                         static_cast<unsigned long long>(last_use[i]),
                          static_cast<unsigned long long>(use_clock));
         }
         for (std::uint64_t j = i + 1; j < regions.size(); ++j) {
-            if (valid_.at(j) && regions.at(j) == regions.at(i)) {
+            if (valid_[j] && regions[j] == regions[i]) {
                 auditor.fail("gws-dup-region",
                              "%s slots %llu and %llu both map region "
                              "%llx",
                              label, static_cast<unsigned long long>(i),
                              static_cast<unsigned long long>(j),
                              static_cast<unsigned long long>(
-                                 regions.at(i)));
+                                 regions[i]));
             }
         }
     }
@@ -133,8 +138,7 @@ RegionTable::audit(InvariantAuditor &auditor, const char *label,
 GangedPolicy::GangedPolicy(std::unique_ptr<WayPolicy> base,
                            const GangedParams &params)
     : WayPolicy(base->geometry()), base_(std::move(base)), params(params),
-      rit(params.ritEntries, params.storage),
-      rlt(params.rltEntries, params.storage)
+      rit(params.ritEntries), rlt(params.rltEntries)
 {
     // Lines of one 4KB region must share their tag so the ganged way is
     // always inside the base policy's candidate set; this holds as long

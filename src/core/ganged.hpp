@@ -19,8 +19,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
-#include "common/paged_table.hpp"
 #include "core/way_policy.hpp"
 
 namespace accord::core
@@ -31,15 +31,15 @@ namespace accord::core
  *
  * Models the paper's RIT and RLT; entries() is small (64) so a linear
  * scan is both faithful to the hardware and fast.  Slot state lives
- * in struct-of-arrays columns on the shared storage layer; at these
- * sizes autoStorageMode() always picks the dense backend.
+ * in plain struct-of-arrays vectors sized once at construction, and
+ * the slot of the last hit is checked before the scan: regions are
+ * unique among valid slots (the gws-dup-region audit), so a memo hit
+ * is the slot the scan would have found.
  */
 class RegionTable
 {
   public:
-    explicit RegionTable(unsigned entries,
-                         std::optional<StorageMode> storage
-                         = std::nullopt);
+    explicit RegionTable(unsigned entries);
 
     /** Way recorded for the region, if tracked; refreshes LRU. */
     std::optional<unsigned> lookup(std::uint64_t region);
@@ -65,18 +65,29 @@ class RegionTable
     void audit(InvariantAuditor &auditor, const char *label,
                unsigned maxWays, unsigned maxEntries) const;
 
-    /** Host bytes currently backing the table's columns. */
+    /** Host bytes backing the table's slot arrays. */
     std::uint64_t residentStateBytes() const;
 
   private:
-    /** Slot index holding `region`, or -1. */
-    int find(std::uint64_t region) const;
+    /** Slot holding `region`, or entries(); remembers a hit. */
+    unsigned find(std::uint64_t region);
 
-    // Struct-of-arrays slot state (shared storage layer).
-    PagedColumn<std::uint64_t> regions;
-    PagedColumn<std::uint64_t> last_use;
-    PagedColumn<std::uint8_t> ways_;
-    PagedColumn<std::uint8_t> valid_;
+    /** Slot a new region replaces. */
+    unsigned victim() const;
+
+    /** Stamp `slot` as most recently used and remember it. */
+    void touch(unsigned slot)
+    {
+        last_use[slot] = ++use_clock;
+        last_hit = slot;
+    }
+
+    // Struct-of-arrays slot state.
+    std::vector<std::uint64_t> regions;
+    std::vector<std::uint64_t> last_use;
+    std::vector<std::uint8_t> ways_;
+    std::vector<std::uint8_t> valid_;
+    unsigned last_hit = 0;
     std::uint64_t use_clock = 0;
 };
 
@@ -88,9 +99,6 @@ struct GangedParams
 
     /** Region tag bits assumed for the storage estimate (paper: 19). */
     unsigned regionTagBits = 19;
-
-    /** Table backend; nullopt resolves per table by size. */
-    std::optional<StorageMode> storage;
 };
 
 /** Ganged Way-Steering decorator over a base policy. */

@@ -28,9 +28,10 @@ namespace accord::dramcache
  *
  * Backed by the sparse paged map of the storage layer: line addresses
  * span the whole PCM address space, so entries live in lazily
- * materialized fixed-size pages rather than a per-key hash table.
- * Iteration order is deterministic by construction (pages are ordered
- * by key), so entries() needs no post-sort quarantine.
+ * materialized fixed-size pages found through a hash index on the
+ * page number, rather than in a per-key hash table.  entries() sorts
+ * the page numbers before walking them, so audits see a
+ * deterministic, key-ordered listing.
  */
 class DcpDirectory
 {

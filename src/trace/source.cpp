@@ -275,14 +275,15 @@ trafficSourceRegistry()
 void
 registerBuiltinTrafficSources()
 {
-    static bool done = false;
-    if (done)
-        return;
-    done = true;
-    auto &registry = trafficSourceRegistry();
-    registerSynthetic(registry);
-    registerCyclic(registry);
-    registerTrace(registry);
+    // Runs once; concurrent first callers wait for it to finish.
+    static const bool registered = [] {
+        auto &registry = trafficSourceRegistry();
+        registerSynthetic(registry);
+        registerCyclic(registry);
+        registerTrace(registry);
+        return true;
+    }();
+    (void)registered;
 }
 
 std::unique_ptr<TrafficSource>

@@ -1,7 +1,14 @@
 /** @file Unit tests for Ganged Way-Steering and the region tables. */
 
+#include <iterator>
+#include <list>
+#include <optional>
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "common/invariant_auditor.hpp"
+#include "common/rng.hpp"
 #include "core/ganged.hpp"
 #include "core/steer.hpp"
 
@@ -96,6 +103,145 @@ TEST(RegionTable, CapacityBound)
     for (std::uint64_t r = 0; r < 100; ++r)
         t.insert(r, 0);
     EXPECT_EQ(t.occupancy(), 8u);
+}
+
+namespace
+{
+
+/**
+ * Naive LRU reference for RegionTable: a list of (region, way) pairs
+ * with the most recently used at the front.
+ */
+class ReferenceLru
+{
+  public:
+    explicit ReferenceLru(unsigned capacity) : capacity(capacity) {}
+
+    std::optional<unsigned>
+    lookup(std::uint64_t region)
+    {
+        const auto it = findRegion(region);
+        if (it == order.end())
+            return std::nullopt;
+        order.splice(order.begin(), order, it);
+        return it->second;
+    }
+
+    /** Insert or update; returns the region evicted to make room. */
+    std::optional<std::uint64_t>
+    insert(std::uint64_t region, unsigned way)
+    {
+        const auto it = findRegion(region);
+        if (it != order.end()) {
+            it->second = way;
+            order.splice(order.begin(), order, it);
+            return std::nullopt;
+        }
+        std::optional<std::uint64_t> evicted;
+        if (order.size() == capacity) {
+            evicted = order.back().first;
+            order.pop_back();
+        }
+        order.emplace_front(region, way);
+        return evicted;
+    }
+
+    void
+    invalidate(std::uint64_t region)
+    {
+        const auto it = findRegion(region);
+        if (it != order.end())
+            order.erase(it);
+    }
+
+    unsigned size() const { return static_cast<unsigned>(order.size()); }
+
+  private:
+    using Order = std::list<std::pair<std::uint64_t, unsigned>>;
+
+    Order::iterator
+    findRegion(std::uint64_t region)
+    {
+        for (auto it = order.begin(); it != order.end(); ++it) {
+            if (it->first == region)
+                return it;
+        }
+        return order.end();
+    }
+
+    unsigned capacity;
+    Order order;
+};
+
+/**
+ * Drive a RegionTable and the reference with the same seeded random
+ * lookup/insert/invalidate stream and require identical answers.
+ * Regions come from an alphabet 1.5x the table size, so the table
+ * both hits and evicts, and a quarter of the operations reuse the
+ * previous region so the last-hit slot is checked first.
+ */
+void
+checkAgainstReference(unsigned entries, std::uint64_t seed)
+{
+    constexpr unsigned kOps = 120000;
+    constexpr unsigned kWays = 8;
+    RegionTable table(entries);
+    ReferenceLru reference(entries);
+    Rng rng(seed);
+    const std::uint64_t alphabet = entries + entries / 2 + 1;
+    std::uint64_t region = 0;
+    unsigned hits = 0;
+    unsigned evictions = 0;
+
+    for (unsigned op = 0; op < kOps; ++op) {
+        if (!rng.chance(0.25))
+            region = 1000 + rng.below(alphabet);
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 5) {
+            const auto got = table.lookup(region);
+            ASSERT_EQ(got, reference.lookup(region)) << "op " << op;
+            hits += got.has_value() ? 1 : 0;
+        } else if (kind < 9) {
+            const auto way = static_cast<unsigned>(rng.below(kWays));
+            table.insert(region, way);
+            const auto evicted = reference.insert(region, way);
+            if (evicted) {
+                // A lookup that misses leaves the LRU order alone.
+                ASSERT_FALSE(table.lookup(*evicted).has_value())
+                    << "op " << op << ": region " << *evicted
+                    << " should have been evicted";
+                ++evictions;
+            }
+        } else {
+            table.invalidate(region);
+            reference.invalidate(region);
+        }
+        ASSERT_EQ(table.occupancy(), reference.size()) << "op " << op;
+    }
+    EXPECT_GT(hits, kOps / 10);
+    EXPECT_GT(evictions, kOps / 20);
+
+    InvariantAuditor auditor;
+    table.audit(auditor, "rit", kWays, entries);
+    EXPECT_TRUE(auditor.clean()) << auditor.report();
+}
+
+} // namespace
+
+TEST(RegionTableDifferential, TwoEntriesMatchReferenceLru)
+{
+    checkAgainstReference(2, 11);
+}
+
+TEST(RegionTableDifferential, SixtyFourEntriesMatchReferenceLru)
+{
+    checkAgainstReference(64, 12);
+}
+
+TEST(RegionTable, ResidentBytesMatchPaperSizedColumns)
+{
+    // Region and stamp (8 bytes each), way and valid (1 byte each).
+    EXPECT_EQ(RegionTable(64).residentStateBytes(), 1152u);
 }
 
 // ---------------- GangedPolicy ----------------

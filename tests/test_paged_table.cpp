@@ -8,7 +8,10 @@
  */
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -200,6 +203,50 @@ TEST(SparsePagedMap, EntriesAreOrderedByKey)
     EXPECT_EQ(entries[2], std::make_pair(std::uint64_t{900000}, 2u));
     EXPECT_EQ(entries[3],
               std::make_pair(std::uint64_t{1} << 33, 4u));
+}
+
+// Differential check against std::map: seeded random record, erase
+// and lookup calls on keys spread over 2^48.  Keys fall in a few
+// hundred random pages, so the hashed page index grows several times
+// and pages collide in it, while slots within a page are reused.
+TEST(SparsePagedMap, MatchesOrderedMapReference)
+{
+    constexpr unsigned kOps = 200000;
+    constexpr unsigned kPages = 384;
+    SparsePagedMap map;
+    std::map<std::uint64_t, unsigned> reference;
+    Rng rng(48);
+    std::vector<std::uint64_t> pages;
+    for (unsigned i = 0; i < kPages; ++i)
+        pages.push_back(rng.below(1ULL << 48) / kPage);
+
+    for (unsigned op = 0; op < kOps; ++op) {
+        const std::uint64_t key =
+            pages[rng.below(kPages)] * kPage + rng.below(64);
+        const std::uint64_t kind = rng.below(4);
+        if (kind == 0) {
+            const auto value = static_cast<unsigned>(rng.below(16));
+            map.record(key, value);
+            reference[key] = value;
+        } else if (kind == 1) {
+            map.erase(key);
+            reference.erase(key);
+        } else {
+            const auto it = reference.find(key);
+            const std::optional<unsigned> want =
+                it == reference.end() ? std::nullopt
+                                      : std::optional<unsigned>(it->second);
+            ASSERT_EQ(map.lookup(key), want) << "op " << op;
+        }
+        ASSERT_EQ(map.size(), reference.size()) << "op " << op;
+        if (op % 50000 == 0 || op + 1 == kOps) {
+            const std::vector<std::pair<std::uint64_t, unsigned>> want(
+                reference.begin(), reference.end());
+            ASSERT_EQ(map.entries(), want) << "op " << op;
+        }
+    }
+    EXPECT_EQ(map.residentPages(), kPages);
+    EXPECT_GT(reference.size(), kPages);
 }
 
 TEST(SparsePagedMapDeath, ValueMustStayBelowAbsentSentinel)

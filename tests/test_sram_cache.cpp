@@ -137,7 +137,11 @@ TEST(SramCacheDeath, NonPow2SetsFatal)
  *  working set smaller than one set's ways always fits. */
 struct Geometry
 {
-    unsigned ways;
+    // Both fields are 64-bit so the struct has no padding: gtest prints a
+    // parameter without a PrintTo overload as its raw bytes, and that string
+    // names the discovered ctest case, so uninitialised padding would give
+    // the cases a different name on every build.
+    std::uint64_t ways;
     std::uint64_t capacity;
 };
 
@@ -148,7 +152,7 @@ class SramGeometry : public ::testing::TestWithParam<Geometry>
 TEST_P(SramGeometry, OccupancyNeverExceedsCapacity)
 {
     const auto g = GetParam();
-    SramCache cache(tinyCache(g.ways, g.capacity));
+    SramCache cache(tinyCache(static_cast<unsigned>(g.ways), g.capacity));
     for (LineAddr line = 0; line < 10000; ++line)
         cache.access(line * 7 + 3, AccessType::Read);
     EXPECT_LE(cache.validLines(), g.capacity / lineSize);
@@ -157,14 +161,14 @@ TEST_P(SramGeometry, OccupancyNeverExceedsCapacity)
 TEST_P(SramGeometry, ResidentSetFitsWithinWays)
 {
     const auto g = GetParam();
-    SramCache cache(tinyCache(g.ways, g.capacity));
+    SramCache cache(tinyCache(static_cast<unsigned>(g.ways), g.capacity));
     // Touch `ways` lines of one set repeatedly: all must stick.
     const std::uint64_t sets = cache.numSets();
     for (int round = 0; round < 3; ++round) {
-        for (unsigned i = 0; i < g.ways; ++i)
+        for (std::uint64_t i = 0; i < g.ways; ++i)
             cache.access(i * sets, AccessType::Read);
     }
-    for (unsigned i = 0; i < g.ways; ++i)
+    for (std::uint64_t i = 0; i < g.ways; ++i)
         EXPECT_TRUE(cache.probe(i * sets));
 }
 
