@@ -53,8 +53,8 @@ EventQueue::appendBucketed(Node *node)
     ++bucketed_;
 }
 
-ACCORD_HOT void
-EventQueue::scheduleAt(Cycle when, Callback callback)
+ACCORD_HOT EventQueue::Node *
+EventQueue::admit(Cycle when)
 {
     ACCORD_ASSERT(when >= now_,
                   "event scheduled in the past (%llu < %llu)",
@@ -63,13 +63,16 @@ EventQueue::scheduleAt(Cycle when, Callback callback)
     ++pending_;
     if (pending_ > occupancy_peak_)
         occupancy_peak_ = pending_;
-    if (when - now_ < kBuckets) {
-        Node *node = allocNode();
-        node->when = when;
-        node->cb = std::move(callback);
-        appendBucketed(node);
-        return;
-    }
+    if (when - now_ >= kBuckets)
+        return nullptr;
+    Node *node = allocNode();
+    node->when = when;
+    return node;
+}
+
+void
+EventQueue::spill(Cycle when, Callback callback)
+{
     ++overflow_spills_;
     overflow_.push_back(
         Overflow{when, overflow_seq_++, std::move(callback)});
@@ -158,9 +161,13 @@ EventQueue::step()
     --bucketed_;
     ++executed_;
 
-    EventCallback callback = std::move(node->cb);
+    // Run the callback where it was built.  The node is already
+    // unlinked and not yet on the freelist, so events the callback
+    // schedules (same cycle included) land in fresh nodes behind it;
+    // arena chunks never move, so growth cannot move this node.
+    node->cb();
+    node->cb.reset();
     freeNode(node);
-    callback();
     return true;
 }
 

@@ -11,9 +11,10 @@
  * within kBuckets cycles of now() append O(1) to a per-cycle FIFO
  * list of arena-recycled nodes, and only far-future events (rare —
  * the DRAM/NVM timing constants are all far below the horizon) fall
- * back to a binary heap.  Callbacks are stored in an EventCallback
- * whose inline buffer fits every capture the simulator schedules, so
- * the common path performs no heap allocation at all.  Execution
+ * back to a binary heap.  Each callable is constructed in place in
+ * its node's EventCallback, whose inline buffer fits every capture the
+ * simulator schedules, and runs there: the common path neither
+ * allocates nor relocates the callback.  Execution
  * order is IDENTICAL to the historical priority-queue implementation
  * — (when, schedule order) — which the refactor-equivalence gate
  * (byte-identical run reports) depends on.
@@ -25,135 +26,22 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/inline_callback.hpp"
 #include "common/types.hpp"
 
 namespace accord
 {
 
 /**
- * Move-only type-erased `void()` callable with a small-buffer
- * optimization sized for the simulator's event captures (a couple of
- * pointers, a shared_ptr, a cycle).  Larger captures still work; they
- * transparently spill to the heap.
+ * An event's callback: a `void()` callable whose inline buffer fits
+ * every capture the simulator schedules (the largest, a channel's
+ * completion event, is asserted in dram/channel.cpp), so the common
+ * path performs no heap allocation at all.
  */
-class EventCallback
-{
-  public:
-    /** Inline capture capacity; the largest scheduled lambda fits. */
-    static constexpr std::size_t kInlineBytes = 56;
-
-    EventCallback() = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventCallback>>>
-    ACCORD_HOT ACCORD_HOT_ALLOW(
-        "oversized captures spill to the heap by design; every capture "
-        "the simulator schedules fits the inline buffer")
-    EventCallback(F &&fn) // NOLINT(google-explicit-constructor)
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(storage_))
-                Fn(std::forward<F>(fn));
-            ops_ = &kInlineOps<Fn>;
-        } else {
-            ::new (static_cast<void *>(storage_))
-                Fn *(new Fn(std::forward<F>(fn)));
-            ops_ = &kHeapOps<Fn>;
-        }
-    }
-
-    EventCallback(EventCallback &&other) noexcept { moveFrom(other); }
-
-    EventCallback &
-    operator=(EventCallback &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            moveFrom(other);
-        }
-        return *this;
-    }
-
-    EventCallback(const EventCallback &) = delete;
-    EventCallback &operator=(const EventCallback &) = delete;
-
-    ~EventCallback() { reset(); }
-
-    explicit operator bool() const { return ops_ != nullptr; }
-
-    ACCORD_HOT void
-    operator()()
-    {
-        ops_->invoke(storage_);
-    }
-
-    /** Destroy the held callable (no-op when empty). */
-    void
-    reset()
-    {
-        if (ops_ != nullptr) {
-            ops_->destroy(storage_);
-            ops_ = nullptr;
-        }
-    }
-
-  private:
-    struct Ops
-    {
-        void (*invoke)(void *storage);
-        /** Move-construct dst from src, then destroy src. */
-        void (*relocate)(void *dst, void *src);
-        void (*destroy)(void *storage);
-    };
-
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= kInlineBytes
-            && alignof(Fn) <= alignof(std::max_align_t)
-            && std::is_nothrow_move_constructible_v<Fn>;
-    }
-
-    template <typename Fn>
-    static inline const Ops kInlineOps = {
-        [](void *storage) { (*static_cast<Fn *>(storage))(); },
-        [](void *dst, void *src) {
-            ::new (dst) Fn(std::move(*static_cast<Fn *>(src)));
-            static_cast<Fn *>(src)->~Fn();
-        },
-        [](void *storage) { static_cast<Fn *>(storage)->~Fn(); },
-    };
-
-    template <typename Fn>
-    static inline const Ops kHeapOps = {
-        [](void *storage) { (**static_cast<Fn **>(storage))(); },
-        [](void *dst, void *src) {
-            ::new (dst) Fn *(*static_cast<Fn **>(src));
-        },
-        [](void *storage) { delete *static_cast<Fn **>(storage); },
-    };
-
-    void
-    moveFrom(EventCallback &other) noexcept
-    {
-        ops_ = other.ops_;
-        if (ops_ != nullptr) {
-            ops_->relocate(storage_, other.storage_);
-            other.ops_ = nullptr;
-        }
-    }
-
-    const Ops *ops_ = nullptr;
-    alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-};
+using EventCallback = InlineCallback<56>;
 
 /** Discrete-event queue in the CPU cycle domain. */
 class EventQueue
@@ -169,13 +57,29 @@ class EventQueue
     /** Current simulation time. */
     Cycle now() const { return now_; }
 
-    /** Schedule a callback at an absolute cycle (>= now). */
-    ACCORD_HOT void scheduleAt(Cycle when, Callback callback);
-
-    /** Schedule a callback delay cycles from now. */
-    ACCORD_HOT void scheduleAfter(Cycle delay, Callback callback)
+    /**
+     * Schedule a callable at an absolute cycle (>= now).  Within the
+     * calendar horizon the callable is constructed straight into its
+     * event node; beyond it, it spills to the overflow heap.
+     */
+    template <typename F>
+    ACCORD_HOT void
+    scheduleAt(Cycle when, F &&fn)
     {
-        scheduleAt(now_ + delay, std::move(callback));
+        if (Node *node = admit(when)) {
+            node->cb.emplace(std::forward<F>(fn));
+            appendBucketed(node);
+        } else {
+            spill(when, Callback(std::forward<F>(fn)));
+        }
+    }
+
+    /** Schedule a callable delay cycles from now. */
+    template <typename F>
+    ACCORD_HOT void
+    scheduleAfter(Cycle delay, F &&fn)
+    {
+        scheduleAt(now_ + delay, std::forward<F>(fn));
     }
 
     /** True if no events remain. */
@@ -269,6 +173,16 @@ class EventQueue
             return a.seq > b.seq;
         }
     };
+
+    /**
+     * Count an event scheduled at `when`: returns its unlinked node
+     * when `when` is within the calendar horizon, null when the event
+     * must spill to the overflow heap.
+     */
+    ACCORD_HOT Node *admit(Cycle when);
+
+    /** Queue a beyond-horizon event on the overflow heap. */
+    void spill(Cycle when, Callback callback);
 
     Node *allocNode();
     void freeNode(Node *node);

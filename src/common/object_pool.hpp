@@ -5,17 +5,10 @@
  * A BlockPool recycles same-sized blocks through a freelist backed by
  * chunked arena storage, so steady-state allocation is a pointer pop
  * — no malloc, no lock (each pool belongs to one single-threaded
- * component, like the EventQueue's node arena or a controller's
- * transaction pool).  PoolAllocator adapts a pool to the standard
- * allocator interface so std::allocate_shared can place an object and
- * its control block in one pooled allocation; odd-sized requests fall
- * through to operator new, keeping the adapter safe for any rebound
- * type.
- *
- * PoolAllocator shares ownership of its pool: every live allocation's
- * control block holds an allocator copy, so the arena stays valid
- * until the last pooled object dies — even past the pool's primary
- * owner (e.g. events still queued when a controller is torn down).
+ * component, like a controller's transaction pool).  The owner
+ * constructs objects in taken blocks with placement new and destroys
+ * them explicitly before give().  Destroying the pool frees its chunks
+ * without running the destructor of any object still in them.
  */
 
 #ifndef ACCORD_COMMON_OBJECT_POOL_HPP
@@ -23,7 +16,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "common/log.hpp"
@@ -54,8 +46,8 @@ class BlockPool
 
     /**
      * Pop a block of `size` bytes.  The first call fixes the pool's
-     * block size; later calls must match it (allocate_shared always
-     * does — every allocation is the same node type).
+     * block size; later calls must not exceed it (a pool serves one
+     * object type).
      */
     void *
     take(std::size_t size)
@@ -112,75 +104,6 @@ class BlockPool
     std::size_t live_ = 0;
     FreeNode *free_ = nullptr;
     std::vector<std::unique_ptr<unsigned char[]>> chunks_;
-};
-
-/**
- * Standard-allocator shim over a BlockPool.  Single-object
- * allocations of the pool's (first-seen) size recycle through the
- * freelist; anything else — array allocations, or a second rebound
- * type of a different size — uses plain operator new, chosen by size
- * again at deallocation so the two paths can never mix.
- */
-template <typename T>
-struct PoolAllocator
-{
-    using value_type = T;
-
-    explicit PoolAllocator(std::shared_ptr<BlockPool> pool)
-        : pool(std::move(pool))
-    {
-        ACCORD_ASSERT(this->pool != nullptr,
-                      "pool allocator needs a pool");
-    }
-
-    template <typename U>
-    PoolAllocator(const PoolAllocator<U> &other) // NOLINT
-        : pool(other.pool)
-    {
-    }
-
-    T *
-    allocate(std::size_t n)
-    {
-        const std::size_t bytes = n * sizeof(T);
-        if (n == 1 && poolable(bytes))
-            return static_cast<T *>(pool->take(bytes));
-        return static_cast<T *>(::operator new(bytes));
-    }
-
-    void
-    deallocate(T *p, std::size_t n)
-    {
-        const std::size_t bytes = n * sizeof(T);
-        if (n == 1 && poolable(bytes)) {
-            pool->give(p);
-            return;
-        }
-        ::operator delete(p);
-    }
-
-    template <typename U>
-    bool
-    operator==(const PoolAllocator<U> &other) const
-    {
-        return pool == other.pool;
-    }
-
-    template <typename U>
-    bool
-    operator!=(const PoolAllocator<U> &other) const
-    {
-        return pool != other.pool;
-    }
-
-    std::shared_ptr<BlockPool> pool;
-
-  private:
-    bool
-    poolable(std::size_t bytes) const
-    {
-        return pool->blockSize() == 0 || bytes <= pool->blockSize();
-    }
 };
 
 } // namespace accord

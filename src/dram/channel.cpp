@@ -9,7 +9,8 @@ namespace accord::dram
 {
 
 Channel::Channel(unsigned id, const TimingParams &params, EventQueue &eq)
-    : id_(id), params(params), eq(eq), banks(params.banksPerChannel)
+    : id_(id), params(params), eq(eq), banks(params.banksPerChannel),
+      read_queue(params.readQueueCap), write_queue(params.writeQueueCap)
 {
 }
 
@@ -26,9 +27,9 @@ Channel::enqueue(MemOp op)
     ACCORD_ASSERT(op.loc.bank < banks.size(), "bank out of range");
     op.enqueuedAt = eq.now();
     if (op.isWrite)
-        write_queue.push_back(std::move(op));
+        write_queue.push(std::move(op));
     else
-        read_queue.push_back(std::move(op));
+        read_queue.push(std::move(op));
     ensureKick(eq.now());
 }
 
@@ -48,27 +49,17 @@ Channel::ensureKick(Cycle when)
 }
 
 ACCORD_HOT std::size_t
-Channel::pick(const std::deque<MemOp> &queue) const
+Channel::pick(const OpQueue &queue) const
 {
-    // Transaction continuations first, then the oldest row-buffer hit,
-    // then plain FCFS.
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (queue[i].priority)
-            return i;
-    }
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        const MemOp &op = queue[i];
-        if (banks[op.loc.bank].wouldHit(op.loc.row))
-            return i;
-    }
-    return 0;
+    return queue.pick([this](unsigned bank, std::uint64_t row) {
+        return banks[bank].wouldHit(row);
+    });
 }
 
 ACCORD_HOT void
-Channel::issue(std::deque<MemOp> &queue, std::size_t index)
+Channel::issue(OpQueue &queue, std::size_t index)
 {
-    MemOp op = std::move(queue[index]);
-    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(index));
+    MemOp op = queue.take(index);
 
     const Cycle now = eq.now();
     Bank &bank = banks[op.loc.bank];
@@ -104,8 +95,8 @@ Channel::issue(std::deque<MemOp> &queue, std::size_t index)
     }
 
     ++in_flight;
-    eq.scheduleAt(data_end,
-                  [this, cb = std::move(op.onComplete), data_end] {
+    auto complete = [this, cb = std::move(op.onComplete),
+                     data_end]() mutable {
         --in_flight;
         if (cb)
             cb(data_end);
@@ -114,7 +105,10 @@ Channel::issue(std::deque<MemOp> &queue, std::size_t index)
         // make sure service continues.
         if (!read_queue.empty() || !write_queue.empty())
             ensureKick(eq.now());
-    });
+    };
+    static_assert(EventCallback::fitsInline<decltype(complete)>(),
+                  "the completion event must fit an event inline");
+    eq.scheduleAt(data_end, std::move(complete));
 
     // Pipeline: pick the next request one burst slot later, so bank
     // preparation (PRE/ACT/tRCD) of queued requests overlaps both this

@@ -12,7 +12,6 @@
 #define ACCORD_DRAM_CHANNEL_HPP
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "common/stats.hpp"
 #include "dram/bank.hpp"
 #include "dram/mem_op.hpp"
+#include "dram/op_queue.hpp"
 #include "dram/timing.hpp"
 
 namespace accord::trace_event
@@ -98,23 +98,24 @@ class Channel
     void ensureKick(Cycle when);
 
     /**
-     * FR-FCFS pick from a queue: oldest row-buffer hit anywhere in the
-     * queue (row hits — e.g. the second probe of an in-flight lookup
-     * in the same row — must not wait behind closed-row requests),
-     * else the oldest request.  Returns queue index.
+     * FR-FCFS pick from a queue: oldest transaction continuation, else
+     * oldest row-buffer hit anywhere in the queue (row hits — e.g. the
+     * second probe of an in-flight lookup in the same row — must not
+     * wait behind closed-row requests), else the oldest request.
+     * Returns queue index.
      */
-    std::size_t pick(const std::deque<MemOp> &queue) const;
+    std::size_t pick(const OpQueue &queue) const;
 
     /** Issue one op picked from the given queue. */
-    void issue(std::deque<MemOp> &queue, std::size_t index);
+    void issue(OpQueue &queue, std::size_t index);
 
     const unsigned id_;
     const TimingParams &params;
     EventQueue &eq;
 
     std::vector<Bank> banks;
-    std::deque<MemOp> read_queue;
-    std::deque<MemOp> write_queue;
+    OpQueue read_queue;
+    OpQueue write_queue;
 
     /** Data bus next-free time. */
     Cycle bus_free_at = 0;

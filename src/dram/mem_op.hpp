@@ -13,8 +13,8 @@
 #define ACCORD_DRAM_MEM_OP_HPP
 
 #include <cstdint>
-#include <functional>
 
+#include "common/inline_callback.hpp"
 #include "common/types.hpp"
 
 namespace accord::dram
@@ -35,8 +35,12 @@ struct PhysLoc
     }
 };
 
-/** Completion callback: invoked with the cycle the data finished. */
-using MemCallback = std::function<void(Cycle done)>;
+/**
+ * Completion callback: invoked with the cycle the data finished.  Its
+ * 24 inline bytes hold every continuation of the timed path (a
+ * controller pointer, a transaction handle and a probe index).
+ */
+using MemCallback = InlineCallback<24, Cycle>;
 
 /** One line-sized read or write request to a banked memory device. */
 struct MemOp

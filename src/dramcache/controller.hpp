@@ -57,8 +57,11 @@ class SetAssocOrg;
 class DramCacheController : private OrgServices
 {
   public:
-    /** Demand-read completion: hit/miss and data-ready cycle. */
-    using ReadDone = std::function<void(bool hit, Cycle when)>;
+    /**
+     * Demand-read completion: hit/miss and data-ready cycle.  Its 16
+     * inline bytes hold a requester pointer and one word of context.
+     */
+    using ReadDone = InlineCallback<16, bool, Cycle>;
 
     /**
      * @param params  cache organization
@@ -145,7 +148,7 @@ class DramCacheController : private OrgServices
     const dram::DramSystem &hbm() const { return hbm_; }
 
     /** Transaction arena, for telemetry pool-usage snapshots. */
-    const BlockPool &txnPool() const { return *txn_pool_; }
+    const BlockPool &txnPool() const { return txn_pool_; }
 
     /**
      * Host bytes currently backing per-set cache state: the tag/flag
@@ -205,12 +208,15 @@ class DramCacheController : private OrgServices
     // --- timed read engine (read_txn.cpp) -------------------------
 
     struct ReadTxn;
-    void issueProbe(const std::shared_ptr<ReadTxn> &txn, unsigned index);
-    void probeDone(const std::shared_ptr<ReadTxn> &txn, unsigned index,
-                   Cycle when);
-    void missConfirmed(const std::shared_ptr<ReadTxn> &txn, Cycle when);
-    void finishHit(const std::shared_ptr<ReadTxn> &txn, unsigned way,
-                   unsigned trace_way, unsigned probe_index, Cycle when);
+
+    /** Drop one hold on `txn`; the last one returns it to the pool. */
+    void release(ReadTxn *txn);
+
+    void issueProbe(ReadTxn *txn, unsigned index);
+    void probeDone(ReadTxn *txn, unsigned index, Cycle when);
+    void missConfirmed(ReadTxn *txn, Cycle when);
+    void finishHit(ReadTxn *txn, unsigned way, unsigned trace_way,
+                   unsigned probe_index, Cycle when);
 
     // --- shared shells --------------------------------------------
 
@@ -254,11 +260,11 @@ class DramCacheController : private OrgServices
     SetAssocOrg *setassoc_ = nullptr;
 
     /**
-     * Recycles ReadTxn+control-block allocations (read_txn.cpp).
-     * Shared so pooled transactions still referenced by queued events
-     * keep the arena alive past controller teardown.
+     * Recycles ReadTxn blocks (read_txn.cpp).  Queued events refer to
+     * a transaction by raw pointer and never touch the pool, so
+     * events outliving the controller leave nothing to free.
      */
-    std::shared_ptr<BlockPool> txn_pool_ = std::make_shared<BlockPool>();
+    BlockPool txn_pool_;
 
     unsigned in_flight = 0;
 

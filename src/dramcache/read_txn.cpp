@@ -9,7 +9,8 @@
  * logic.
  */
 
-#include "common/object_pool.hpp"
+#include <new>
+
 #include "common/trace_event/tracer.hpp"
 #include "dramcache/access_plan.hpp"
 #include "dramcache/controller.hpp"
@@ -18,7 +19,12 @@
 namespace accord::dramcache
 {
 
-/** In-flight state of one timed demand read. */
+/**
+ * In-flight state of one timed demand read.  Device callbacks refer
+ * to it by raw pointer; `holds` counts the continuations that still
+ * need it, and release() returns it to the pool when the last one
+ * finishes.
+ */
 struct DramCacheController::ReadTxn
 {
     AccessPlan plan;
@@ -27,6 +33,9 @@ struct DramCacheController::ReadTxn
 
     /** Trace transaction of this read (kNoTxn when untraced). */
     trace_event::TxnId trace = trace_event::kNoTxn;
+
+    /** 1 for the completion, plus 1 per outstanding broadside probe. */
+    unsigned holds = 1;
 
     /** Broadside issue: probe index of the resident way, -1 if absent. */
     int parallelHitPos = -1;
@@ -41,18 +50,17 @@ DramCacheController::read(LineAddr line, ReadDone done,
     maybeAudit();
 #endif
 
-    // Pool-allocated: the transaction and its shared_ptr control
-    // block recycle through txn_pool_ instead of hitting the heap on
-    // every demand read.
-    auto txn =
-        std::allocate_shared<ReadTxn>(PoolAllocator<ReadTxn>(txn_pool_));
-    // Devirtualized fast path: when the organization is exactly the
-    // built-in SetAssocOrg, qualified calls skip the vtable and inline.
-    txn->plan = setassoc_ != nullptr ? setassoc_->SetAssocOrg::planRead(line)
-                                     : org_->planRead(line);
-    txn->done = std::move(done);
-    txn->start = eq.now();
-    txn->trace = tracer_ != nullptr ? trace : trace_event::kNoTxn;
+    // Pool-allocated: transactions recycle through txn_pool_ instead
+    // of hitting the heap on every demand read.  The plan (kMaxWays
+    // probe slots) is built straight into the transaction, never
+    // zeroed or copied on the way.  Devirtualized fast path: when the
+    // organization is exactly the built-in SetAssocOrg, qualified
+    // calls skip the vtable and inline.
+    ReadTxn *txn = ::new (txn_pool_.take(sizeof(ReadTxn))) ReadTxn{
+        setassoc_ != nullptr ? setassoc_->SetAssocOrg::planRead(line)
+                             : org_->planRead(line),
+        std::move(done), eq.now(),
+        tracer_ != nullptr ? trace : trace_event::kNoTxn};
     ++in_flight;
 
     if (txn->trace != trace_event::kNoTxn) {
@@ -85,6 +93,7 @@ DramCacheController::read(LineAddr line, ReadDone done,
         // against the tag state at issue.
         const HitLocation loc = resolve(txn->plan, tags);
         txn->parallelHitPos = loc.index;
+        txn->holds += txn->plan.probeCount;
         stats_.probesPerRead.sample(
             static_cast<double>(txn->plan.probeCount));
         for (unsigned i = 0; i < txn->plan.probeCount; ++i) {
@@ -109,6 +118,7 @@ DramCacheController::read(LineAddr line, ReadDone done,
                                == txn->plan.probeCount) {
                     missConfirmed(txn, when);
                 }
+                release(txn);
             }, false, txn->trace);
         }
         return;
@@ -121,8 +131,16 @@ DramCacheController::read(LineAddr line, ReadDone done,
 }
 
 ACCORD_HOT void
-DramCacheController::issueProbe(const std::shared_ptr<ReadTxn> &txn,
-                                unsigned index)
+DramCacheController::release(ReadTxn *txn)
+{
+    if (--txn->holds != 0)
+        return;
+    txn->~ReadTxn();
+    txn_pool_.give(txn);
+}
+
+ACCORD_HOT void
+DramCacheController::issueProbe(ReadTxn *txn, unsigned index)
 {
     stats_.cacheReadTransfers.inc();
     if (txn->trace != trace_event::kNoTxn) {
@@ -138,8 +156,8 @@ DramCacheController::issueProbe(const std::shared_ptr<ReadTxn> &txn,
 }
 
 ACCORD_HOT void
-DramCacheController::probeDone(const std::shared_ptr<ReadTxn> &txn,
-                               unsigned index, Cycle when)
+DramCacheController::probeDone(ReadTxn *txn, unsigned index,
+                               Cycle when)
 {
     // Chained probes check live tags: an overlapping fill may have
     // installed or moved the line since this probe was issued.
@@ -159,9 +177,9 @@ DramCacheController::probeDone(const std::shared_ptr<ReadTxn> &txn,
 }
 
 ACCORD_HOT void
-DramCacheController::finishHit(const std::shared_ptr<ReadTxn> &txn,
-                               unsigned way, unsigned trace_way,
-                               unsigned probe_index, Cycle when)
+DramCacheController::finishHit(ReadTxn *txn, unsigned way,
+                               unsigned trace_way, unsigned probe_index,
+                               Cycle when)
 {
     stats_.readHits.hit();
     stats_.wayPrediction.add(AccessPlan::predictedAt(probe_index));
@@ -204,11 +222,11 @@ DramCacheController::finishHit(const std::shared_ptr<ReadTxn> &txn,
         setassoc_->OrgStrategy::afterReadHit(hit); // the base no-op
     else
         org_->afterReadHit(hit);
+    release(txn);
 }
 
 ACCORD_HOT void
-DramCacheController::missConfirmed(const std::shared_ptr<ReadTxn> &txn,
-                                   Cycle when)
+DramCacheController::missConfirmed(ReadTxn *txn, Cycle when)
 {
     stats_.readHits.miss();
     if (setassoc_ != nullptr)
@@ -248,6 +266,7 @@ DramCacheController::missConfirmed(const std::shared_ptr<ReadTxn> &txn,
         else
             org_->installAfterMiss(txn->plan.ref.line, /* timed */ true,
                                    txn->trace);
+        release(txn);
     }, txn->trace);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "controller_fixture.hpp"
 
@@ -234,4 +236,79 @@ TEST(TimedVsFunctional, SameSequentialStreamSameHits)
               warm->stats().readHits.hits());
     EXPECT_EQ(timed->stats().wayPrediction.hits(),
               warm->stats().wayPrediction.hits());
+}
+
+// Every issue shape returns each pooled transaction exactly when its
+// last continuation finishes: serial lookup runs Chained probes,
+// parallel lookup Broadside ones (the completion plus one hold per
+// probe), and ideal lookup a Single probe.
+class TimedTxnLifetime : public ::testing::TestWithParam<LookupMode>
+{
+};
+
+TEST_P(TimedTxnLifetime, PoolDrainsAtQuiescence)
+{
+    MiniSystem sys(4, GetParam(), "");
+    Rng rng(17);
+    // Warm a part of the footprint so the batch mixes hits and misses
+    // (a broadside plan fixes its outcome against the tags at issue).
+    for (LineAddr line = 0; line < (1 << 11); ++line)
+        sys->warmRead(line);
+    int done = 0;
+    int hits = 0;
+    for (int i = 0; i < 2000; ++i) {
+        sys->read(rng.below(1 << 12), [&](bool hit, Cycle) {
+            ++done;
+            hits += hit ? 1 : 0;
+        });
+    }
+    EXPECT_EQ(sys->txnPool().live(), 2000u);
+    sys.eq.run();
+    EXPECT_EQ(done, 2000);
+    EXPECT_GT(hits, 0);
+    EXPECT_LT(hits, 2000);
+    EXPECT_TRUE(sys->quiesced());
+    EXPECT_EQ(sys->txnPool().live(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TimedTxnLifetime,
+    ::testing::Values(LookupMode::Serial, LookupMode::Parallel,
+                      LookupMode::Ideal),
+    [](const ::testing::TestParamInfo<LookupMode> &info) {
+        return dramcache::toToken(info.param);
+    });
+
+// A broadside read that hits on an early probe completes while its
+// later probes are still in flight; those keep the transaction alive
+// until they land.
+TEST(TimedTxnLifetime, BroadsideProbesOutliveTheCompletion)
+{
+    MiniSystem sys(4, LookupMode::Parallel, "");
+    constexpr std::uint64_t set = 3;
+    for (std::uint64_t tag = 1; tag <= 64; ++tag)
+        sys->warmRead(sys.lineFor(set, tag));
+    std::vector<LineAddr> lines;
+    for (unsigned way = 0; way < 4; ++way) {
+        ASSERT_TRUE(sys->tagStore().valid(set, way));
+        lines.push_back(sys.lineFor(set, sys->tagStore().tag(set, way)));
+    }
+    std::size_t held_after_completion = 0;
+    for (const LineAddr line : lines) {
+        const auto ref = core::LineRef::make(line, sys->geometry());
+        ASSERT_GE(sys->tagStore().findWay(ref.set, ref.tag), 0);
+        bool done = false;
+        sys->read(line, [&](bool hit, Cycle) {
+            EXPECT_TRUE(hit);
+            done = true;
+        });
+        sys.eq.runUntil([&] { return done; });
+        // The set is full, so the hit sits at a different probe
+        // position for each line: all but the last-probed one finish
+        // with probes still outstanding.
+        held_after_completion += sys->txnPool().live();
+        sys.eq.run();
+        EXPECT_EQ(sys->txnPool().live(), 0u);
+    }
+    EXPECT_EQ(held_after_completion, 3u);
 }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/event_queue.hpp"
@@ -206,6 +207,53 @@ TEST(EventQueue, MoveOnlyCallback)
     eq.scheduleAt(3, [box = std::move(box), &got] { got = *box + 1; });
     eq.run();
     EXPECT_EQ(got, 42);
+}
+
+// Callbacks run in place, inside their own node.  One that schedules
+// same-cycle, next-cycle and beyond-horizon events while it runs must
+// still yield the (when, schedule order) sequence, and its captures
+// must stay intact while the events it schedules grow the node arena.
+TEST(EventQueue, InPlaceCallbackKeepsWhenThenScheduleOrder)
+{
+    constexpr Cycle start = 10;
+    constexpr Cycle far = start + EventQueue::kBuckets + 5;
+    EventQueue eq;
+    std::vector<std::pair<Cycle, int>> order;
+    const auto record = [&](int label) {
+        return [&order, &eq, label] {
+            order.emplace_back(eq.now(), label);
+        };
+    };
+    std::array<std::uint64_t, 3> guard{1, 2, 3};
+    auto first = [&order, &eq, &record, guard] {
+        order.emplace_back(eq.now(), 0);
+        eq.scheduleAt(far, record(1));       // overflow heap
+        eq.scheduleAt(start, [&] {           // same cycle, runs next
+            order.emplace_back(eq.now(), 2);
+            eq.scheduleAt(start, record(3)); // same cycle, behind it
+            eq.scheduleAt(far, record(4));   // same far cycle as 1
+        });
+        eq.scheduleAt(start + 1, record(5));
+        eq.scheduleAt(start, record(6));
+        // Enough pending events to add arena chunks while this
+        // callback still runs from its node.
+        for (int i = 0; i < 1000; ++i)
+            eq.scheduleAt(start + 2, [] {});
+        std::uint64_t sum = 0;
+        for (const std::uint64_t v : guard)
+            sum += v;
+        order.emplace_back(eq.now(), static_cast<int>(sum));
+    };
+    // The guard must live in the node, not in a heap spill.
+    static_assert(EventCallback::fitsInline<decltype(first)>());
+    eq.scheduleAt(start, std::move(first));
+    eq.run();
+    const std::vector<std::pair<Cycle, int>> expect = {
+        {start, 0}, {start, 6}, {start, 2}, {start, 6}, {start, 3},
+        {start + 1, 5}, {far, 1}, {far, 4}};
+    EXPECT_EQ(order, expect);
+    EXPECT_EQ(eq.executed(), 7u + 1000u);
+    EXPECT_EQ(eq.overflowSpills(), 2u);
 }
 
 TEST(EventQueueDeath, PastSchedulingPanics)

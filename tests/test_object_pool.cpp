@@ -1,9 +1,8 @@
-/** @file Unit tests for the fixed-block pool and its allocator shim. */
+/** @file Unit tests for the fixed-block pool. */
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <set>
 #include <vector>
 
@@ -46,58 +45,4 @@ TEST(BlockPool, GrowsPastOneChunk)
     for (void *block : blocks)
         pool.give(block);
     EXPECT_EQ(pool.live(), 0u);
-}
-
-TEST(PoolAllocator, AllocateSharedRoundTrips)
-{
-    auto pool = std::make_shared<BlockPool>();
-    struct Payload
-    {
-        std::uint64_t a = 7;
-        std::uint64_t b = 9;
-    };
-    auto p = std::allocate_shared<Payload>(PoolAllocator<Payload>(pool));
-    EXPECT_EQ(p->a + p->b, 16u);
-    EXPECT_EQ(pool->live(), 1u);
-    p.reset();
-    EXPECT_EQ(pool->live(), 0u);
-
-    // The freed block feeds the next allocation.
-    auto q = std::allocate_shared<Payload>(PoolAllocator<Payload>(pool));
-    EXPECT_EQ(pool->live(), 1u);
-    q.reset();
-    EXPECT_EQ(pool->live(), 0u);
-}
-
-// The allocator shares pool ownership, so objects that outlive the
-// pool's primary owner (the controller-teardown case: transactions
-// still referenced by queued events) keep the arena alive.
-TEST(PoolAllocator, SharedOwnershipOutlivesPrimaryOwner)
-{
-    auto pool = std::make_shared<BlockPool>();
-    auto p = std::allocate_shared<std::uint64_t>(
-        PoolAllocator<std::uint64_t>(pool), std::uint64_t{99});
-    pool.reset(); // drop the primary owner
-    EXPECT_EQ(*p, 99u);
-    p.reset(); // last reference frees block AND pool
-}
-
-TEST(PoolAllocator, OddSizesFallThroughToOperatorNew)
-{
-    auto pool = std::make_shared<BlockPool>();
-    PoolAllocator<std::uint64_t> alloc(pool);
-    // First single-object allocation locks the block size...
-    std::uint64_t *one = alloc.allocate(1);
-    const std::size_t block = pool->blockSize();
-    // ...so a larger array allocation must bypass the pool.
-    std::uint64_t *many = alloc.allocate(block);
-    EXPECT_EQ(pool->live(), 1u);
-    alloc.deallocate(many, block);
-    alloc.deallocate(one, 1);
-    EXPECT_EQ(pool->live(), 0u);
-}
-
-TEST(PoolAllocatorDeath, NullPoolPanics)
-{
-    EXPECT_DEATH(PoolAllocator<int>(nullptr), "pool");
 }
