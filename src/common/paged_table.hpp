@@ -3,7 +3,7 @@
  * Paged struct-of-arrays storage layer for per-set cache state.
  *
  * Every large per-set structure in the simulator (tag store, MRU
- * table, partial tags, DCP directory, LRU stamps) is a flat array
+ * table, partial tags, LRU stamps) is a flat array
  * indexed by slot.  At 1/128 bench scale a dense vector is ideal; at
  * full gigascale (4GB cache = 64M lines) eager dense allocation costs
  * gigabytes of host RSS before the first access retires.  This layer
@@ -29,14 +29,10 @@
 #ifndef ACCORD_COMMON_PAGED_TABLE_HPP
 #define ACCORD_COMMON_PAGED_TABLE_HPP
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <utility>
 #include <vector>
 
-#include "common/bits.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
 
@@ -235,159 +231,6 @@ template <typename T> class PagedColumn
     std::vector<T> dense_;
     std::vector<std::unique_ptr<T[]>> pages_;
     std::uint64_t resident_pages_ = 0;
-};
-
-/**
- * Sparse paged map from a 64-bit key to a small unsigned value,
- * built for the DCP directory: keys are line addresses (sparse over
- * the whole PCM address space) and values are way ids.  Keys live in
- * fixed-size pages found through a small open-addressed index on
- * key/kPageSlots, so a lookup costs one hash probe and untouched
- * regions of the key space cost nothing.  Pages are never freed, so
- * the index needs no tombstones.  entries() sorts the pages by key
- * before walking them, so its order never depends on the hash.
- */
-class SparsePagedMap
-{
-  public:
-    static constexpr std::uint64_t kPageSlots = 4096;
-
-    /** Absent-slot sentinel; stored values must stay below it. */
-    static constexpr std::uint8_t kAbsent = 0xff;
-
-    /** Value recorded for `key`, if any. */
-    std::optional<unsigned>
-    lookup(std::uint64_t key) const
-    {
-        const std::uint8_t *page = findPage(key / kPageSlots);
-        if (page == nullptr || page[key % kPageSlots] == kAbsent)
-            return std::nullopt;
-        return page[key % kPageSlots];
-    }
-
-    /** Record (or update) the value for `key`. */
-    void
-    record(std::uint64_t key, unsigned value)
-    {
-        ACCORD_ASSERT(value < kAbsent,
-                      "sparse map value %u collides with the absent "
-                      "sentinel",
-                      value);
-        std::uint8_t &slot = ensurePage(key / kPageSlots)
-            [key % kPageSlots];
-        if (slot == kAbsent)
-            ++size_;
-        slot = static_cast<std::uint8_t>(value);
-    }
-
-    /** Drop `key` if present. */
-    void
-    erase(std::uint64_t key)
-    {
-        std::uint8_t *page = findPage(key / kPageSlots);
-        if (page == nullptr)
-            return;
-        std::uint8_t &slot = page[key % kPageSlots];
-        if (slot != kAbsent) {
-            slot = kAbsent;
-            --size_;
-        }
-    }
-
-    /** Recorded keys. */
-    std::uint64_t size() const { return size_; }
-
-    /** All (key, value) entries, ordered by key. */
-    std::vector<std::pair<std::uint64_t, unsigned>>
-    entries() const
-    {
-        std::vector<std::pair<std::uint64_t, const std::uint8_t *>> pages;
-        pages.reserve(static_cast<std::size_t>(pages_));
-        for (const IndexSlot &slot : index_) {
-            if (slot.page)
-                pages.emplace_back(slot.key, slot.page.get());
-        }
-        std::sort(pages.begin(), pages.end());
-
-        std::vector<std::pair<std::uint64_t, unsigned>> out;
-        out.reserve(static_cast<std::size_t>(size_));
-        for (const auto &[key, page] : pages) {
-            const std::uint64_t base = key * kPageSlots;
-            for (std::uint64_t i = 0; i < kPageSlots; ++i) {
-                if (page[i] != kAbsent)
-                    out.emplace_back(base + i, page[i]);
-            }
-        }
-        return out;
-    }
-
-    std::uint64_t residentPages() const { return pages_; }
-
-    std::uint64_t
-    residentBytes() const
-    {
-        return pages_ * kPageSlots * sizeof(std::uint8_t);
-    }
-
-  private:
-    /** One index bucket; an empty bucket has no page. */
-    struct IndexSlot
-    {
-        std::uint64_t key = 0;
-        std::unique_ptr<std::uint8_t[]> page;
-    };
-
-    /** Bucket holding page `key`, or the empty bucket ending its probe. */
-    std::size_t
-    probe(std::uint64_t key) const
-    {
-        const std::size_t mask = index_.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (index_[i].page && index_[i].key != key)
-            i = (i + 1) & mask;
-        return i;
-    }
-
-    /** Page `key`, or nullptr if it was never materialized. */
-    std::uint8_t *
-    findPage(std::uint64_t key) const
-    {
-        return index_.empty() ? nullptr : index_[probe(key)].page.get();
-    }
-
-    /** Materialize and return a page (the allocation seam). */
-    std::uint8_t *
-    ensurePage(std::uint64_t key)
-    {
-        if (std::uint8_t *page = findPage(key))
-            return page;
-        // Keep the index at most half full so probes stay short.
-        if (2 * (pages_ + 1) > index_.size())
-            grow();
-        IndexSlot &slot = index_[probe(key)];
-        slot.key = key;
-        slot.page = std::make_unique<std::uint8_t[]>(kPageSlots);
-        std::fill_n(slot.page.get(), kPageSlots, kAbsent);
-        ++pages_;
-        return slot.page.get();
-    }
-
-    /** Double the index and rehash every page into it. */
-    void
-    grow()
-    {
-        std::vector<IndexSlot> old = std::move(index_);
-        index_ = std::vector<IndexSlot>(
-            std::max<std::size_t>(16, 2 * old.size()));
-        for (IndexSlot &slot : old) {
-            if (slot.page)
-                index_[probe(slot.key)] = std::move(slot);
-        }
-    }
-
-    std::vector<IndexSlot> index_;
-    std::uint64_t pages_ = 0;
-    std::uint64_t size_ = 0;
 };
 
 } // namespace accord

@@ -1,5 +1,6 @@
 #include "dramcache/access_plan.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.hpp"
@@ -51,21 +52,39 @@ probeOrder(const core::LineRef &ref, core::WayPolicy *policy,
     return count;
 }
 
-/** Fill a set-associative plan's probe steps from a way order. */
+/** Poison the probe slots a plan leaves unwritten. */
 void
-fillSteps(AccessPlan &plan, const std::array<unsigned, kMaxWays> &order,
-          unsigned count)
+poisonUnused(AccessPlan &plan)
 {
-    plan.probeCount = count;
-    for (unsigned i = 0; i < count; ++i) {
-        plan.probes[i].set = plan.ref.set;
-        plan.probes[i].way = order[i];
-        plan.probes[i].matchTag = plan.ref.tag;
-        plan.probes[i].traceWay = order[i];
-    }
+#if ACCORD_CHECKS_ENABLED
+    for (unsigned i = plan.probeCount; i < kMaxWays; ++i)
+        plan.probes[i].set = ~std::uint64_t{0};
+#else
+    (void)plan;
+#endif
 }
 
 } // namespace
+
+AccessPlan::AccessPlan(const core::LineRef &ref, IssueShape shape,
+                       const unsigned *order, unsigned count)
+    : ref(ref), shape(shape), probeCount(count)
+{
+    for (unsigned i = 0; i < count; ++i)
+        probes[i] = {ref.set, ref.tag, order[i], order[i]};
+    poisonUnused(*this);
+}
+
+AccessPlan::AccessPlan(const core::LineRef &ref, IssueShape shape,
+                       std::initializer_list<ProbeStep> steps)
+    : ref(ref), shape(shape),
+      probeCount(static_cast<unsigned>(steps.size()))
+{
+    ACCORD_ASSERT(steps.size() <= kMaxWays,
+                  "plan exceeds the plan-core probe bound");
+    std::copy(steps.begin(), steps.end(), probes.begin());
+    poisonUnused(*this);
+}
 
 HitLocation
 resolve(const AccessPlan &plan, const TagStore &tags)
@@ -96,34 +115,28 @@ planLookup(const core::LineRef &ref, core::WayPolicy *policy,
 {
     ACCORD_ASSERT(geom.ways <= kMaxWays,
                   "geometry exceeds the plan-core way bound");
-    AccessPlan plan;
-    plan.ref = ref;
-
     std::array<unsigned, kMaxWays> order;
-    const unsigned count = probeOrder(ref, policy, geom, order);
+    unsigned count = probeOrder(ref, policy, geom, order);
 
+    IssueShape shape = IssueShape::Chained;
     switch (mode) {
       case LookupMode::Serial:
       case LookupMode::Predicted:
         // Both probe one way at a time in candidate order; Predicted
         // differs only in how the policy picked the first way.
-        plan.shape = IssueShape::Chained;
-        fillSteps(plan, order, count);
+        shape = IssueShape::Chained;
         break;
       case LookupMode::Parallel:
-        plan.shape = IssueShape::Broadside;
-        fillSteps(plan, order, count);
+        shape = IssueShape::Broadside;
         break;
       case LookupMode::Ideal:
-        plan.shape = IssueShape::Single;
-        plan.probeCount = 1;
-        plan.probes[0].set = ref.set;
-        plan.probes[0].way = 0;
-        plan.probes[0].matchTag = ref.tag;
-        plan.probes[0].traceWay = 0;
+        // One magic probe; resolve() sees the whole set.
+        shape = IssueShape::Single;
+        order[0] = 0;
+        count = 1;
         break;
     }
-    return plan;
+    return AccessPlan(ref, shape, order.data(), count);
 }
 
 AccessPlan
@@ -132,29 +145,25 @@ planLocate(const core::LineRef &ref, core::WayPolicy *policy,
 {
     ACCORD_ASSERT(geom.ways <= kMaxWays,
                   "geometry exceeds the plan-core way bound");
-    AccessPlan plan;
-    plan.ref = ref;
-    plan.shape = IssueShape::Chained;
     std::array<unsigned, kMaxWays> order;
     const unsigned count = probeOrder(ref, policy, geom, order);
-    fillSteps(plan, order, count);
-    return plan;
+    return AccessPlan(ref, IssueShape::Chained, order.data(), count);
 }
 
 AccessPlan
 planCaLookup(LineAddr line, std::uint64_t primary,
              std::uint64_t secondary)
 {
-    AccessPlan plan;
     // CA slots index a ways==1 geometry: set = slot, tag = full line.
-    plan.ref.line = line;
-    plan.ref.set = primary;
-    plan.ref.tag = line;
-    plan.shape = IssueShape::Chained;
-    plan.probeCount = 2;
-    plan.probes[0] = {primary, 0, line, 0};
-    plan.probes[1] = {secondary, 0, line, 1};
-    return plan;
+    core::LineRef ref;
+    ref.line = line;
+    ref.set = primary;
+    ref.tag = line;
+    return AccessPlan(ref, IssueShape::Chained,
+                      {{.set = primary, .matchTag = line, .way = 0,
+                        .traceWay = 0},
+                       {.set = secondary, .matchTag = line, .way = 0,
+                        .traceWay = 1}});
 }
 
 } // namespace accord::dramcache

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 
 #include "core/way_policy.hpp"
 #include "dramcache/tag_store.hpp"
@@ -45,20 +46,24 @@ enum class IssueShape
     Single,
 };
 
-/** One array slot a lookup may touch. */
+/**
+ * One array slot a lookup may touch.  No default member initializers:
+ * a plan writes only the steps it uses, so building one never pays
+ * for the kMaxWays - probeCount slots it leaves alone.
+ */
 struct ProbeStep
 {
     /** Array set (a CA plan probes two different slots). */
-    std::uint64_t set = 0;
-
-    /** Way within the set. */
-    unsigned way = 0;
+    std::uint64_t set;
 
     /** Tag value that means "hit" at this slot. */
-    std::uint64_t matchTag = 0;
+    std::uint64_t matchTag;
+
+    /** Way within the set. */
+    unsigned way;
 
     /** Way argument for trace points (CA reports the slot index). */
-    unsigned traceWay = 0;
+    unsigned traceWay;
 };
 
 /** Where a plan's probes found the line. */
@@ -74,13 +79,31 @@ struct HitLocation
 /**
  * A side-effect-free lookup decision: probe sequence plus the
  * transfer accounting both execution shells share.
+ *
+ * A plan is built once, in its final storage (the plan functions
+ * return prvalues, so the caller's variable or the timed engine's
+ * transaction is the object constructed), and is never copied.  Only
+ * probes [0, probeCount) are written and read; under
+ * ACCORD_CHECKS_ENABLED the rest carry an out-of-range set, so a
+ * stray read trips TagStore's index check.
  */
 struct AccessPlan
 {
+    /** Probe i checks way order[i] of ref's set for ref's tag. */
+    AccessPlan(const core::LineRef &ref, IssueShape shape,
+               const unsigned *order, unsigned count);
+
+    /** Probe the given steps in order (the CA slot pair). */
+    AccessPlan(const core::LineRef &ref, IssueShape shape,
+               std::initializer_list<ProbeStep> steps);
+
+    AccessPlan(const AccessPlan &) = delete;
+    AccessPlan &operator=(const AccessPlan &) = delete;
+
     core::LineRef ref;
-    IssueShape shape = IssueShape::Chained;
-    std::array<ProbeStep, kMaxWays> probes{};
-    unsigned probeCount = 0;
+    IssueShape shape;
+    unsigned probeCount;
+    std::array<ProbeStep, kMaxWays> probes;
 
     /** Line transfers a hit at probe index `index` costs. */
     unsigned

@@ -94,7 +94,7 @@ DramCacheController::DramCacheController(
       policy_(std::move(policy)), eq(eq), nvm(nvm),
       hbm_(fitTiming(timing, params.capacityBytes), eq),
       layout(geom, hbm_.params(), params.layout),
-      tags(geom, params.stateBackend),
+      tags(geom, params.stateBackend), dcp(tags),
       audit_countdown(params.auditInterval)
 {
     // The plan core owns the probe bound: any organization a factory

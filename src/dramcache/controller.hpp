@@ -143,6 +143,7 @@ class DramCacheController : private OrgServices
 
     const core::CacheGeometry &geometry() const { return geom; }
     const TagStore &tagStore() const { return tags; }
+    const DcpDirectory &dcpDirectory() const { return dcp; }
     core::WayPolicy *policy() { return policy_.get(); }
     dram::DramSystem &hbm() { return hbm_; }
     const dram::DramSystem &hbm() const { return hbm_; }
@@ -152,8 +153,8 @@ class DramCacheController : private OrgServices
 
     /**
      * Host bytes currently backing per-set cache state: the tag/flag
-     * columns, the DCP directory pages, and (when attached) the way
-     * policy's own tables.  Feeds the resident-state telemetry gauge
+     * columns, the DCP directory's override table, and (when
+     * attached) the way policy's own tables.  Feeds the resident-state telemetry gauge
      * and the gigascale footprint budget.
      */
     std::uint64_t

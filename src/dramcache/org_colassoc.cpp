@@ -25,6 +25,7 @@ ColAssocOrg::ColAssocOrg(const OrgContext &ctx) : OrgStrategy(ctx)
                   "LRU ablation applies to set-associative mode");
     ACCORD_ASSERT(ctx_.geom.sets >= 2, "CA-cache needs >= 2 slots");
     ca_pair_mask = ctx_.geom.sets >> 1;
+    ctx_.dcp.useColumnPairs(ca_pair_mask);
 }
 
 std::uint64_t
@@ -133,25 +134,19 @@ ColAssocOrg::installAfterMiss(LineAddr line, bool timed,
     // whatever lived there; the new line always lands at primary.
     TagStore &tags = ctx_.tags;
     const bool old_valid = tags.valid(primary, 0);
+    const std::uint64_t old_line = old_valid ? tags.tag(primary, 0) : 0;
+    TagStore::Victim evicted;
     if (old_valid) {
-        const std::uint64_t old_line = tags.tag(primary, 0);
-        const bool old_dirty = tags.dirty(primary, 0);
-        const TagStore::Victim evicted =
-            tags.install(secondary, 0, old_line, old_dirty);
+        evicted = tags.install(secondary, 0, old_line,
+                               tags.dirty(primary, 0));
         ctx_.stats.cacheWriteTransfers.inc();   // the relocation write
         if (timed)
             ctx_.services.cacheOp(secondary, 0, true, member(), false,
                                   fill_txn);
-        ctx_.dcp.record(old_line,
-                        primarySlot(old_line) == secondary ? 0u : 1u);
-        if (evicted.valid) {
-            ctx_.dcp.erase(evicted.tag);
-            if (evicted.dirty) {
-                ctx_.stats.nvmWrites.inc();
-                if (timed)
-                    ctx_.services.nvmWrite(evicted.tag, member(),
-                                           fill_txn);
-            }
+        if (evicted.valid && evicted.dirty) {
+            ctx_.stats.nvmWrites.inc();
+            if (timed)
+                ctx_.services.nvmWrite(evicted.tag, member(), fill_txn);
         }
     }
 
@@ -160,6 +155,15 @@ ColAssocOrg::installAfterMiss(LineAddr line, bool timed,
     if (timed)
         ctx_.services.cacheOp(primary, 0, true, member(), false,
                               fill_txn);
+
+    // The directory derives from the tags, so it is told about each
+    // move only once both slots hold their new lines.
+    if (old_valid) {
+        ctx_.dcp.record(old_line,
+                        primarySlot(old_line) == secondary ? 0u : 1u);
+        if (evicted.valid)
+            ctx_.dcp.erase(evicted.tag);
+    }
     ctx_.dcp.record(line, 0);
 }
 

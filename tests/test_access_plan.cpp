@@ -226,8 +226,9 @@ TEST(AccessPlanEquivalence, SequenceActuallyExercisesBothOutcomes)
 
 TEST(AccessPlan, HitTransfersFollowIssueShape)
 {
-    dramcache::AccessPlan plan;
-    plan.probeCount = 4;
+    const unsigned order[] = {0, 1, 2, 3};
+    dramcache::AccessPlan plan(core::LineRef{}, dramcache::IssueShape::Chained,
+                               order, 4);
 
     plan.shape = dramcache::IssueShape::Chained;
     EXPECT_EQ(plan.hitTransfers(0), 1u);

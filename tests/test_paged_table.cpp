@@ -2,16 +2,13 @@
  * @file
  * Unit tests for the paged struct-of-arrays storage layer
  * (common/paged_table.hpp): page materialization and teardown,
- * dense/paged read identity, resident-byte accounting, the
- * SparsePagedMap used by the DCP directory, and the end-to-end
- * dense-vs-paged byte-identity replay of the fig12 smoke sweep.
+ * dense/paged read identity, resident-byte accounting, and the
+ * end-to-end dense-vs-paged byte-identity replay of the fig12 smoke
+ * sweep.
  */
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,98 +159,6 @@ TEST(PagedColumnDeath, CheckedBuildsRejectOutOfRangeFastPath)
     EXPECT_DEATH(col.materializeSlot(2 * kPage), "outside column");
 }
 #endif
-
-TEST(SparsePagedMap, RecordLookupEraseRoundTrip)
-{
-    SparsePagedMap map;
-    EXPECT_EQ(map.size(), 0u);
-    EXPECT_EQ(map.residentPages(), 0u);
-    EXPECT_FALSE(map.lookup(12345).has_value());
-
-    map.record(12345, 3);
-    map.record(12345, 5); // update, not a second entry
-    map.record(1ULL << 40, 0);
-    EXPECT_EQ(map.size(), 2u);
-    EXPECT_EQ(map.lookup(12345), std::optional<unsigned>(5));
-    EXPECT_EQ(map.lookup(1ULL << 40), std::optional<unsigned>(0));
-    // Same page, different slot: still absent.
-    EXPECT_FALSE(map.lookup(12346).has_value());
-
-    map.erase(12345);
-    map.erase(12345); // double erase is a no-op
-    EXPECT_EQ(map.size(), 1u);
-    EXPECT_FALSE(map.lookup(12345).has_value());
-    // Erase leaves the page resident (it is a tombstone, not a free).
-    EXPECT_EQ(map.residentPages(), 2u);
-}
-
-TEST(SparsePagedMap, EntriesAreOrderedByKey)
-{
-    SparsePagedMap map;
-    // Insert in shuffled order across distant pages.
-    map.record(900000, 2);
-    map.record(7, 1);
-    map.record(1ULL << 33, 4);
-    map.record(8, 6);
-
-    const auto entries = map.entries();
-    ASSERT_EQ(entries.size(), 4u);
-    EXPECT_EQ(entries[0], std::make_pair(std::uint64_t{7}, 1u));
-    EXPECT_EQ(entries[1], std::make_pair(std::uint64_t{8}, 6u));
-    EXPECT_EQ(entries[2], std::make_pair(std::uint64_t{900000}, 2u));
-    EXPECT_EQ(entries[3],
-              std::make_pair(std::uint64_t{1} << 33, 4u));
-}
-
-// Differential check against std::map: seeded random record, erase
-// and lookup calls on keys spread over 2^48.  Keys fall in a few
-// hundred random pages, so the hashed page index grows several times
-// and pages collide in it, while slots within a page are reused.
-TEST(SparsePagedMap, MatchesOrderedMapReference)
-{
-    constexpr unsigned kOps = 200000;
-    constexpr unsigned kPages = 384;
-    SparsePagedMap map;
-    std::map<std::uint64_t, unsigned> reference;
-    Rng rng(48);
-    std::vector<std::uint64_t> pages;
-    for (unsigned i = 0; i < kPages; ++i)
-        pages.push_back(rng.below(1ULL << 48) / kPage);
-
-    for (unsigned op = 0; op < kOps; ++op) {
-        const std::uint64_t key =
-            pages[rng.below(kPages)] * kPage + rng.below(64);
-        const std::uint64_t kind = rng.below(4);
-        if (kind == 0) {
-            const auto value = static_cast<unsigned>(rng.below(16));
-            map.record(key, value);
-            reference[key] = value;
-        } else if (kind == 1) {
-            map.erase(key);
-            reference.erase(key);
-        } else {
-            const auto it = reference.find(key);
-            const std::optional<unsigned> want =
-                it == reference.end() ? std::nullopt
-                                      : std::optional<unsigned>(it->second);
-            ASSERT_EQ(map.lookup(key), want) << "op " << op;
-        }
-        ASSERT_EQ(map.size(), reference.size()) << "op " << op;
-        if (op % 50000 == 0 || op + 1 == kOps) {
-            const std::vector<std::pair<std::uint64_t, unsigned>> want(
-                reference.begin(), reference.end());
-            ASSERT_EQ(map.entries(), want) << "op " << op;
-        }
-    }
-    EXPECT_EQ(map.residentPages(), kPages);
-    EXPECT_GT(reference.size(), kPages);
-}
-
-TEST(SparsePagedMapDeath, ValueMustStayBelowAbsentSentinel)
-{
-    SparsePagedMap map;
-    EXPECT_DEATH(map.record(0, SparsePagedMap::kAbsent), "sentinel");
-}
 
 namespace
 {
