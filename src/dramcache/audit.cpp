@@ -163,7 +163,8 @@ auditCaSlotRange(const TagStore &tags, const DcpDirectory &dcp,
             continue;
         const LineAddr line = tags.tag(slot, 0);
         const std::uint64_t primary = line & (slots - 1);
-        if (slot != primary && slot != (primary ^ pairMask)) {
+        const std::uint64_t pair = primary ^ pairMask;
+        if (slot != primary && slot != pair) {
             auditor.fail(
                 "ca-slot",
                 "slot %llu holds line %llx whose primary is %llu",
@@ -171,21 +172,31 @@ auditCaSlotRange(const TagStore &tags, const DcpDirectory &dcp,
                 static_cast<unsigned long long>(line),
                 static_cast<unsigned long long>(primary));
         }
+        // Reported once, at the primary slot of the pair.
+        if (slot == primary && tags.valid(pair, 0)
+            && tags.tag(pair, 0) == line) {
+            auditor.fail(
+                "ca-duplicate",
+                "line %llx sits in both its primary slot %llu and its "
+                "pair slot %llu",
+                static_cast<unsigned long long>(line),
+                static_cast<unsigned long long>(primary),
+                static_cast<unsigned long long>(pair));
+        }
         const auto sel = dcp.lookup(line);
         if (sel && *sel > 1) {
             auditor.fail("dcp-way-range",
                          "line %llx: CA slot selector %u not 0/1",
                          static_cast<unsigned long long>(line), *sel);
         } else if (sel
-                   && (*sel == 0 ? primary : primary ^ pairMask)
-                          != slot) {
+                   && (*sel == 0 ? primary : pair) != slot) {
             auditor.fail(
                 "dcp-coherence",
                 "line %llx: directory selector %u resolves to slot "
                 "%llu, but slot %llu holds it",
                 static_cast<unsigned long long>(line), *sel,
                 static_cast<unsigned long long>(
-                    *sel == 0 ? primary : primary ^ pairMask),
+                    *sel == 0 ? primary : pair),
                 static_cast<unsigned long long>(slot));
         }
     }

@@ -82,8 +82,9 @@ void auditDcpForward(const DcpDirectory &dcp, const TagStore &tags,
  * Column-associative layout consistency over slots
  * [firstSlot, lastSlot): each resident line (CA tags are full line
  * addresses) must sit in its primary slot (line & (slots-1)) or that
- * slot's pair (primary ^ pairMask), and any DCP entry's 0/1 slot
- * selector must resolve to the slot actually holding it.
+ * slot's pair (primary ^ pairMask), never in both, and any DCP
+ * entry's 0/1 slot selector must resolve to the slot actually
+ * holding it.
  */
 void auditCaSlotRange(const TagStore &tags, const DcpDirectory &dcp,
                       std::uint64_t pairMask, InvariantAuditor &auditor,

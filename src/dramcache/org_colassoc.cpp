@@ -125,6 +125,14 @@ ColAssocOrg::installAfterMiss(LineAddr line, bool timed,
     const std::uint64_t primary = primarySlot(line);
     const std::uint64_t secondary = pairSlot(primary);
 
+    // Two overlapping misses to one line can both reach the fill
+    // path; the second must not copy the line into its pair slot
+    // (evicting that slot's occupant).  It only refreshes the DCP.
+    if (slotHolds(primary, line) || slotHolds(secondary, line)) {
+        ctx_.dcp.record(line, slotHolds(primary, line) ? 0u : 1u);
+        return;
+    }
+
     // The posted install is one Fill trace transaction spanning the
     // relocation write, any victim writeback, and the fill write.
     trace_event::TxnId fill_txn = trace_event::kNoTxn;

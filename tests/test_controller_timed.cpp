@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -81,6 +82,34 @@ TEST(TimedParallel, CompletesHitsAndMisses)
     EXPECT_EQ(sys->stats().readHits.total(), 2u);
     // 4 probes per access.
     EXPECT_EQ(sys->stats().cacheReadTransfers.value(), 8u);
+}
+
+// A broadside read fixes its hit way at issue.  An overlapping fill
+// can evict the line before the probes return, and the hit then
+// records a way the line has left: the one disagreement between the
+// DCP directory and the tag store that set-associative runs produce.
+TEST(TimedParallel, StaleBroadsideHitsBecomeDcpOverrides)
+{
+    MiniSystem sys(2, LookupMode::Parallel, "");
+    Rng rng(17);
+    std::size_t peak_overrides = 0;
+    const auto step = [&] {
+        const bool ran = sys.eq.step();
+        peak_overrides = std::max(peak_overrides,
+                                  sys->dcpDirectory().overrideCount());
+        return ran;
+    };
+    // A steady trickle of reads, 8 tags over 4 sets of 2 ways, so
+    // fills keep landing while later broadside hits are in flight.
+    for (int i = 0; i < 4000; ++i) {
+        sys->read(sys.lineFor(rng.below(4), rng.below(8)), {});
+        for (int k = 0; k < 4; ++k)
+            step();
+    }
+    while (step()) {
+    }
+    EXPECT_GT(peak_overrides, 0u);
+    EXPECT_TRUE(sys->quiesced());
 }
 
 TEST(TimedIdeal, SingleTransferEachWay)
@@ -198,6 +227,37 @@ TEST(TimedCa, ReadsAndSwapsComplete)
     sys.eq.run();
     EXPECT_EQ(sys->stats().swaps.value(), 1u);
     EXPECT_TRUE(sys.readBlocking(a));   // now a primary hit
+}
+
+TEST(TimedCa, OverlappingSameLineMissesDoNotDuplicate)
+{
+    MiniSystem sys(1, LookupMode::Serial, "", 1ULL << 20,
+                   Organization::ColumnAssoc);
+    const std::uint64_t slots = sys->geometry().sets;
+    const LineAddr a = 5;
+    // b's primary slot is a's pair slot.
+    const LineAddr b = 5 + slots / 2;
+    EXPECT_FALSE(sys.readBlocking(b));
+    sys.eq.run();
+
+    // Two reads of the absent line a, issued back to back: both miss
+    // and both reach the fill path.
+    int done = 0;
+    sys->read(a, [&](bool, Cycle) { ++done; });
+    sys->read(a, [&](bool, Cycle) { ++done; });
+    sys.eq.run();
+    EXPECT_EQ(done, 2);
+
+    const dramcache::TagStore &tags = sys->tagStore();
+    const auto holds = [&](std::uint64_t slot, LineAddr line) {
+        return tags.valid(slot, 0) && tags.tag(slot, 0) == line;
+    };
+    // a sits in its primary slot only; b was not displaced.
+    EXPECT_TRUE(holds(a, a));
+    EXPECT_TRUE(holds(b, b));
+    InvariantAuditor auditor;
+    sys->audit(auditor);
+    EXPECT_TRUE(auditor.clean()) << auditor.report();
 }
 
 TEST(TimedDeterminism, SameSeedSameTimeline)

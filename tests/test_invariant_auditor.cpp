@@ -268,6 +268,25 @@ TEST(DcpAudit, EntriesAreSortedByLineAddress)
     EXPECT_EQ(entries[2].first, 0x30u);
 }
 
+TEST(CaAudit, DetectsLineInBothSlots)
+{
+    const CacheGeometry g = geom(16, 1);
+    TagStore tags(g);
+    DcpDirectory dcp(tags);
+    dcp.useColumnPairs(8);
+
+    // Line 0x23 has primary slot 3 and pair slot 11.
+    tags.install(3, 0, 0x23, false);
+    InvariantAuditor clean;
+    auditCaSlotRange(tags, dcp, 8, clean, 0, 16);
+    EXPECT_TRUE(clean.clean()) << clean.report();
+
+    tags.install(11, 0, 0x23, false);
+    InvariantAuditor auditor;
+    auditCaSlotRange(tags, dcp, 8, auditor, 0, 16);
+    EXPECT_TRUE(auditor.hasRule("ca-duplicate")) << auditor.report();
+}
+
 // --- full controller ------------------------------------------------
 
 TEST(ControllerAudit, CleanAfterWarmTraffic)
