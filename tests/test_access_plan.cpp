@@ -248,5 +248,24 @@ TEST(AccessPlan, HitTransfersFollowIssueShape)
     EXPECT_FALSE(dramcache::AccessPlan::predictedAt(1));
 }
 
+#if ACCORD_CHECKS_ENABLED
+// A plan writes only probes [0, probeCount).  Checked builds poison
+// the rest with an out-of-range set, so a stray read of an unused
+// slot trips the tag store's index check instead of reading garbage.
+TEST(AccessPlanDeath, UnusedProbeSlotsTripTheTagIndexCheck)
+{
+    core::CacheGeometry geom;
+    geom.sets = 16;
+    geom.ways = 4;
+    const dramcache::TagStore tags(geom);
+    const unsigned order[] = {2, 0};
+    const dramcache::AccessPlan plan(core::LineRef::make(0x35, geom),
+                                     dramcache::IssueShape::Chained,
+                                     order, 2);
+    EXPECT_FALSE(dramcache::stepHits(plan.probes[1], tags));
+    EXPECT_DEATH(dramcache::stepHits(plan.probes[2], tags), "outside");
+}
+#endif
+
 } // namespace
 } // namespace accord::test
