@@ -18,8 +18,7 @@
  *                                 until the next change; initial 0)
  *
  * Varint-delta encoding makes sequential streams ~2 bytes/record vs.
- * 9 for the legacy fixed-width format (trace_file.hpp, which remains
- * readable).  A trace may additionally be gzip-wrapped: the reader
+ * 9 for a fixed-width (line, kind) record.  A trace may additionally be gzip-wrapped: the reader
  * auto-detects the wrapper and streams through zlib, so multi-GB
  * traces decode with bounded memory.  Built without zlib
  * (ACCORD_HAVE_ZLIB undefined) plain files still work; gzip input is

@@ -143,13 +143,6 @@ class CyclicPairGen : public TrafficSource
     bool emit_b = false;
 };
 
-/** One element of the L4-bound stream: a demand read or a writeback. */
-struct L4Access
-{
-    LineAddr line = 0;
-    bool isWriteback = false;
-};
-
 /**
  * Converts a demand stream into the L4 traffic mix by re-emitting a
  * fraction of demand lines as writebacks after a configurable lag
