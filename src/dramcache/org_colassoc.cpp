@@ -128,8 +128,9 @@ ColAssocOrg::installAfterMiss(LineAddr line, bool timed,
     // Two overlapping misses to one line can both reach the fill
     // path; the second must not copy the line into its pair slot
     // (evicting that slot's occupant).  It only refreshes the DCP.
-    if (slotHolds(primary, line) || slotHolds(secondary, line)) {
-        ctx_.dcp.record(line, slotHolds(primary, line) ? 0u : 1u);
+    const bool at_primary = slotHolds(primary, line);
+    if (at_primary || slotHolds(secondary, line)) {
+        ctx_.dcp.record(line, at_primary ? 0u : 1u);
         return;
     }
 
