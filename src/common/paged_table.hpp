@@ -3,11 +3,11 @@
  * Paged struct-of-arrays storage layer for per-set cache state.
  *
  * Every large per-set structure in the simulator (tag store, MRU
- * table, partial tags, LRU stamps) is a flat array
- * indexed by slot.  At 1/128 bench scale a dense vector is ideal; at
- * full gigascale (4GB cache = 64M lines) eager dense allocation costs
- * gigabytes of host RSS before the first access retires.  This layer
- * makes the representation pluggable:
+ * table, partial tags, LRU stamps) is a flat array indexed by slot.
+ * At 1/128 bench scale a dense vector is ideal; at full gigascale
+ * (4GB cache = 64M lines) eager dense allocation costs gigabytes of
+ * host RSS before the first access retires.  This layer makes the
+ * representation pluggable:
  *
  *  - Dense: one eagerly allocated vector, zero indirection.
  *  - Paged: fixed-size pages materialized on first write; reads of

@@ -154,8 +154,9 @@ class DramCacheController : private OrgServices
     /**
      * Host bytes currently backing per-set cache state: the tag/flag
      * columns, the DCP directory's override table, and (when
-     * attached) the way policy's own tables.  Feeds the resident-state telemetry gauge
-     * and the gigascale footprint budget.
+     * attached) the way policy's own tables.  Feeds the
+     * resident-state telemetry gauge and the gigascale footprint
+     * budget.
      */
     std::uint64_t
     residentStateBytes() const

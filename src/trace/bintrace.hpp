@@ -18,11 +18,11 @@
  *                                 until the next change; initial 0)
  *
  * Varint-delta encoding makes sequential streams ~2 bytes/record vs.
- * 9 for a fixed-width (line, kind) record.  A trace may additionally be gzip-wrapped: the reader
- * auto-detects the wrapper and streams through zlib, so multi-GB
- * traces decode with bounded memory.  Built without zlib
- * (ACCORD_HAVE_ZLIB undefined) plain files still work; gzip input is
- * rejected with a clear fatal().
+ * 9 for a fixed-width (line, kind) record.  A trace may additionally
+ * be gzip-wrapped: the reader auto-detects the wrapper and streams
+ * through zlib, so multi-GB traces decode with bounded memory.
+ * Built without zlib (ACCORD_HAVE_ZLIB undefined) plain files still
+ * work; gzip input is rejected with a clear fatal().
  *
  * tools/convert_trace.py produces this format from ChampSim/gem5-style
  * text traces.
